@@ -699,8 +699,12 @@ def cmd_plan(args) -> int:
         model.fit(context.database)
         generator = LocalCardinalityGenerator(model=model)
         source = f"{args.benchmark} fit"
-    decision = plan_query(query, generator,
-                          COST_MODELS[args.cost_model])
+    try:
+        decision = plan_query(query, generator,
+                              COST_MODELS[args.cost_model])
+    finally:
+        if args.url:
+            generator.close()
     print(f"join order ({args.cost_model} cost "
           f"{decision.estimated_cost:,.1f}, estimates from {source}):")
     print(decision.plan.render())

@@ -10,9 +10,9 @@ calls the model directly).  Two backends answer identically:
   for whole sub-plan maps (``estimate_subplans``) and single induced
   sub-queries (``estimate``);
 - :class:`RemoteCardinalityGenerator` speaks to a running server over
-  ``POST /v1/subplans`` / ``POST /v1/estimate`` with a stdlib HTTP
-  client — the deployment shape where the optimizer and the estimator
-  are separate processes.
+  ``POST /v1/subplans`` / ``POST /v1/estimate`` over one kept-alive
+  stdlib HTTP connection — the deployment shape where the optimizer and
+  the estimator are separate processes.
 
 Both share one memo keyed on the canonical, alias-invariant
 :meth:`~repro.sql.query.Query.subplan_key`, so a subset probed under one
@@ -25,9 +25,10 @@ asserts.
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
+import threading
+from urllib.parse import urlsplit
 
 from repro.api import coerce_query
 from repro.errors import ReproError
@@ -163,39 +164,93 @@ class RemoteCardinalityGenerator(CardinalityGenerator):
 
     Lattice fetches go through ``POST /v1/subplans`` (one request per
     unseen query); off-lattice probes through ``POST /v1/estimate`` on
-    the induced sub-query's SQL.  Uses only :mod:`urllib` — no client
-    dependency — and raises :class:`GeneratorError` carrying the
-    server's taxonomy error code when a request fails.
+    the induced sub-query's SQL.  Every request reuses one kept-alive
+    :class:`http.client.HTTPConnection` (guarded by a lock, reopened
+    once when the server dropped it while idle) — no client dependency,
+    no connection set-up per probe.  A failed request raises
+    :class:`GeneratorError` carrying the server's taxonomy error code.
+    :meth:`close` (or leaving a ``with`` block) releases the connection.
     """
 
     def __init__(self, base_url: str, model: str | None = None,
                  timeout: float = 30.0):
         super().__init__()
         self.base_url = base_url.rstrip("/")
+        parts = urlsplit(self.base_url)
+        if parts.scheme not in ("http", "https") or not parts.netloc:
+            raise ValueError(
+                f"base_url must be an http(s) URL, got {base_url!r}")
+        self._connect = (http.client.HTTPSConnection
+                         if parts.scheme == "https"
+                         else http.client.HTTPConnection)
+        self._netloc, self._prefix = parts.netloc, parts.path
         self._model_name = model
         self._timeout = timeout
+        self._lock = threading.Lock()
+        self._connection: http.client.HTTPConnection | None = None
+
+    def close(self) -> None:
+        """Close the kept-alive connection (the next request reopens)."""
+        with self._lock:
+            self._drop()
+
+    def __enter__(self) -> "RemoteCardinalityGenerator":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _drop(self) -> None:
+        if self._connection is not None:
+            self._connection.close()
+            self._connection = None
+
+    def _round_trip(self, route: str, body: bytes) -> tuple[int, str, bytes]:
+        """``(status, reason, body)`` of one POST on the kept-alive
+        connection.  A reused connection that fails with a connection
+        error was dropped by the server while idle: reopen and send once
+        more (both routes are reads, so a repeat is harmless)."""
+        for retry in (True, False):
+            reused = self._connection is not None
+            if not reused:
+                self._connection = self._connect(self._netloc,
+                                                 timeout=self._timeout)
+            try:
+                self._connection.request(
+                    "POST", self._prefix + route, body,
+                    {"Content-Type": "application/json"})
+                response = self._connection.getresponse()
+                data = response.read()
+            except BaseException as exc:
+                # the connection's state is unknown after any failure
+                self._drop()
+                if reused and retry and isinstance(exc, ConnectionError):
+                    continue
+                raise
+            if response.will_close:
+                self._drop()
+            return response.status, response.reason, data
 
     def _post(self, route: str, payload: dict) -> dict:
         body = json.dumps(payload).encode()
-        request = urllib.request.Request(
-            self.base_url + route, data=body,
-            headers={"Content-Type": "application/json"})
         try:
-            with urllib.request.urlopen(request,
-                                        timeout=self._timeout) as response:
-                return json.loads(response.read())
-        except urllib.error.HTTPError as exc:
-            try:
-                error = json.loads(exc.read()).get("error", {})
-            except Exception:
-                error = {}
-            raise GeneratorError(
-                f"{route} answered {exc.code} "
-                f"[{error.get('code', 'unknown')}]: "
-                f"{error.get('message', exc.reason)}") from None
-        except OSError as exc:
+            with self._lock:
+                status, reason, data = self._round_trip(route, body)
+        except (OSError, http.client.HTTPException) as exc:
             raise GeneratorError(
                 f"cannot reach {self.base_url}{route}: {exc}") from None
+        if status == 200:
+            return json.loads(data)
+        try:
+            error = json.loads(data).get("error", {})
+        except Exception:
+            error = {}
+        if not isinstance(error, dict):
+            error = {"message": str(error)}
+        raise GeneratorError(
+            f"{route} answered {status} "
+            f"[{error.get('code', 'unknown')}]: "
+            f"{error.get('message', reason)}")
 
     def _subplan_map(self, query: Query) -> dict[frozenset, float]:
         payload = self._post("/v1/subplans", {

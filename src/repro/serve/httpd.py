@@ -124,6 +124,16 @@ should use ``/v1``.
 
 Errors return ``{"error": ...}`` with 400 (bad request / unsupported
 query), 404 (unknown model or route), or 500.
+
+Connections
+-----------
+Connections are HTTP/1.1 keep-alive.  Every reply — JSON, text, error or
+deprecated — leaves through one writer that buffers the status line,
+headers and body and sends them together, on a socket with
+``TCP_NODELAY`` set.  A client reusing its connection therefore pays
+only the request's own work.  Both are needed: a body sent after the
+headers as a second small segment waits on Nagle's algorithm for the
+client's delayed ACK, about 40 ms per request.
 """
 
 from __future__ import annotations
@@ -165,6 +175,10 @@ class ServingHandler(BaseHTTPRequestHandler):
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve/1"
+    # each reply is assembled in the write buffer and flushed as one
+    # send, without waiting on Nagle's algorithm
+    wbufsize = 64 * 1024
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> EstimationService:
@@ -176,26 +190,29 @@ class ServingHandler(BaseHTTPRequestHandler):
 
     # -- plumbing --------------------------------------------------------------
 
-    def _reply(self, payload: dict, status: int = 200,
-               deprecated: bool = False) -> None:
-        body = json.dumps(payload).encode()
+    def handle_expect_100(self) -> bool:
+        # the interim "100 Continue" must reach the client before the
+        # body is read, so it cannot wait in the reply buffer
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
+
+    def _reply(self, payload: dict | str, status: int = 200,
+               deprecated: bool = False,
+               content_type: str = "application/json") -> None:
+        """The one reply writer: a dict goes out as JSON, a string as
+        text under ``content_type``.  Status line, headers and body land
+        in the buffered ``wfile``; ``handle_one_request`` flushes them
+        as one send once the ``do_*`` method returns."""
+        body = (payload if isinstance(payload, str)
+                else json.dumps(payload)).encode()
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if deprecated:
             # RFC 9745-style marker: the route still answers, but /v1 is
             # the supported surface
             self.send_header("Deprecation", "true")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _reply_text(self, text: str, status: int = 200,
-                    content_type: str = "text/plain; charset=utf-8"
-                    ) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
@@ -466,7 +483,8 @@ class ServingHandler(BaseHTTPRequestHandler):
         except Exception as exc:
             self._reply(error_payload(exc), status=http_status_of(exc))
             return
-        self._reply_text(result["collapsed"] + "\n")
+        self._reply(result["collapsed"] + "\n",
+                    content_type="text/plain; charset=utf-8")
 
     def _get_metrics(self) -> None:
         """Prometheus text exposition of every metric family."""
@@ -475,8 +493,8 @@ class ServingHandler(BaseHTTPRequestHandler):
         except Exception as exc:  # pragma: no cover - defensive
             self._reply({"error": f"internal error: {exc}"}, status=500)
             return
-        self._reply_text(text, content_type="text/plain; version=0.0.4; "
-                                            "charset=utf-8")
+        self._reply(text, content_type="text/plain; version=0.0.4; "
+                                       "charset=utf-8")
 
     def _post_v1_swap(self) -> dict:
         """Per-shard hot-swap of a served ensemble:

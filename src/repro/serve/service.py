@@ -351,11 +351,6 @@ class EstimationService:
         """The registry name a ``model=None`` request resolves to."""
         return self._resolve(None).name
 
-    @staticmethod
-    def _as_query(query: Query | str) -> Query:
-        """Deprecated shim: use :func:`repro.api.coerce_query`."""
-        return coerce_query(query)
-
     # -- workload recording ----------------------------------------------------
 
     def start_recording(self, path) -> WorkloadRecorder:

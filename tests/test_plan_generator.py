@@ -35,6 +35,27 @@ def served(model):
     server.server_close()
 
 
+@pytest.fixture
+def counted(model):
+    """A served model whose server records every connection it
+    accepts."""
+    service = EstimationService()
+    service.register("default", model)
+    server, _ = serve_in_background(service, port=0)
+    accepted = []
+    process = server.process_request
+
+    def counting(request, address):
+        accepted.append(address)
+        process(request, address)
+
+    server.process_request = counting
+    host, port = server.server_address[:2]
+    yield f"http://{host}:{port}", service, accepted
+    server.shutdown()
+    server.server_close()
+
+
 class TestLocalGenerator:
     def test_matches_model_subplans(self, model):
         generator = LocalCardinalityGenerator(model=model)
@@ -98,17 +119,18 @@ class TestRemoteGenerator:
     def test_agrees_exactly_with_local(self, served, model):
         base_url, _ = served
         local = LocalCardinalityGenerator(model=model)
-        remote = RemoteCardinalityGenerator(base_url)
-        for sql in (SQL, TWO_TABLE):
-            assert remote.prepare(sql) == local.prepare(sql)
-        assert remote.card(SQL, ["a", "b"]) == local.card(SQL, ["a", "b"])
+        with RemoteCardinalityGenerator(base_url) as remote:
+            for sql in (SQL, TWO_TABLE):
+                assert remote.prepare(sql) == local.prepare(sql)
+            assert remote.card(SQL, ["a", "b"]) == \
+                local.card(SQL, ["a", "b"])
 
     def test_plans_agree_exactly(self, served, model):
         base_url, _ = served
         local_decision = plan_query(
             SQL, LocalCardinalityGenerator(model=model))
-        remote_decision = plan_query(
-            SQL, RemoteCardinalityGenerator(base_url))
+        with RemoteCardinalityGenerator(base_url) as remote:
+            remote_decision = plan_query(SQL, remote)
         assert local_decision.plan == remote_decision.plan
         assert local_decision.estimated_cost == \
             remote_decision.estimated_cost
@@ -118,16 +140,16 @@ class TestRemoteGenerator:
 
     def test_memo_avoids_repeat_requests(self, served):
         base_url, service = served
-        remote = RemoteCardinalityGenerator(base_url)
-        remote.prepare(SQL)
-        requests_after_first = service.latency.count
-        remote.prepare(SQL)  # fully memoized: no new HTTP request
+        with RemoteCardinalityGenerator(base_url) as remote:
+            remote.prepare(SQL)
+            requests_after_first = service.latency.count
+            remote.prepare(SQL)  # fully memoized: no new HTTP request
         assert service.latency.count == requests_after_first
 
     def test_server_error_carries_taxonomy_code(self, served):
         base_url, _ = served
-        remote = RemoteCardinalityGenerator(base_url, model="missing")
-        with pytest.raises(GeneratorError) as info:
+        with RemoteCardinalityGenerator(base_url, model="missing") as remote, \
+                pytest.raises(GeneratorError) as info:
             remote.prepare(TWO_TABLE)
         assert "model_not_found" in str(info.value)
 
@@ -136,3 +158,48 @@ class TestRemoteGenerator:
                                             timeout=0.5)
         with pytest.raises(GeneratorError):
             remote.prepare(TWO_TABLE)
+
+    def test_probes_share_one_connection(self, counted, model):
+        base_url, service, accepted = counted
+        local = LocalCardinalityGenerator(model=model)
+        probes = [["a"], ["b"], ["c"], ["a", "b"], ["b", "c"],
+                  ["a", "c"], ["a", "b", "c"]]
+        other = "SELECT COUNT(*) FROM A a, B b WHERE a.id = b.aid AND a.x > 3"
+        with RemoteCardinalityGenerator(base_url) as remote:
+            for aliases in probes:  # each a memo miss: one request apiece
+                assert remote.card(SQL, aliases) == \
+                    local.card(SQL, aliases)
+            assert remote.prepare(other) == local.prepare(other)
+        assert service.latency.count == len(probes) + 1
+        assert len(accepted) == 1
+
+    def test_reconnects_once_after_idle_drop(self, counted, model,
+                                             monkeypatch):
+        import time
+
+        from repro.serve.httpd import ServingHandler
+
+        # the server closes connections idle for longer than this
+        monkeypatch.setattr(ServingHandler, "timeout", 0.2)
+        base_url, _, accepted = counted
+        local = LocalCardinalityGenerator(model=model)
+        with RemoteCardinalityGenerator(base_url) as remote:
+            assert remote.card(SQL, ["a"]) == local.card(SQL, ["a"])
+            time.sleep(0.6)
+            assert remote.card(SQL, ["b"]) == local.card(SQL, ["b"])
+        assert len(accepted) == 2
+
+    def test_error_keeps_the_connection(self, counted, model):
+        base_url, service, accepted = counted
+        with RemoteCardinalityGenerator(base_url) as remote:
+            service.registry.unpublish("default")
+            with pytest.raises(GeneratorError) as info:
+                remote.card(SQL, ["a"])
+            assert "model_not_found" in str(info.value)
+            service.register("default", model)
+            assert remote.card(SQL, ["a"]) > 0
+        assert len(accepted) == 1
+
+    def test_rejects_non_http_urls(self):
+        with pytest.raises(ValueError):
+            RemoteCardinalityGenerator("127.0.0.1:8765")

@@ -476,3 +476,94 @@ class TestSnapshotRoute:
         status, _ = _status_of(lambda: _post(
             server, "/snapshot", {"action": "save"}))
         assert status == 400
+
+
+def _connect(server):
+    import http.client
+
+    return http.client.HTTPConnection(*server.server_address[:2],
+                                      timeout=10)
+
+
+def _keepalive_post(connection, path, payload):
+    connection.request("POST", path, json.dumps(payload).encode(),
+                       {"Content-Type": "application/json"})
+    response = connection.getresponse()
+    body = response.read()
+    assert response.status == 200, body
+    return json.loads(body)
+
+
+class TestKeepAlive:
+    def test_accepted_socket_has_nodelay(self, served):
+        import socket
+
+        server, _, _ = served
+        accepted = []
+        process = server.process_request
+
+        def capture(request, address):
+            accepted.append(request)
+            process(request, address)
+
+        server.process_request = capture
+        connection = _connect(server)
+        try:
+            _keepalive_post(connection, "/v1/estimate", {"sql": SQL})
+            assert len(accepted) == 1
+            assert accepted[0].getsockopt(socket.IPPROTO_TCP,
+                                          socket.TCP_NODELAY)
+        finally:
+            connection.close()
+
+    def test_reused_connection_beats_fresh_connections(self, served):
+        """Within-run ratio gate: a cache hit on a kept-alive connection
+        costs less than one that also opens a connection.  Without
+        one-send replies and TCP_NODELAY, a reused connection stalls
+        ~40 ms per request on Nagle's algorithm and delayed ACKs."""
+        import statistics
+        import time
+
+        server, _, _ = served
+        _post(server, "/v1/estimate", {"sql": SQL})  # warm the cache
+        reused, fresh = [], []
+        connection = _connect(server)
+        try:
+            _keepalive_post(connection, "/v1/estimate", {"sql": SQL})
+            for _ in range(20):
+                start = time.perf_counter()
+                _keepalive_post(connection, "/v1/estimate", {"sql": SQL})
+                reused.append(time.perf_counter() - start)
+                start = time.perf_counter()
+                one_shot = _connect(server)
+                try:
+                    _keepalive_post(one_shot, "/v1/estimate", {"sql": SQL})
+                finally:
+                    one_shot.close()
+                fresh.append(time.perf_counter() - start)
+        finally:
+            connection.close()
+        assert statistics.median(reused) < statistics.median(fresh)
+
+    def test_expect_continue_is_answered_before_the_body(self, served):
+        """The interim 100 Continue must not wait in the reply buffer."""
+        import socket
+
+        server, _, _ = served
+        body = json.dumps({"sql": SQL}).encode()
+        with socket.create_connection(server.server_address[:2],
+                                      timeout=5) as sock:
+            sock.sendall(
+                b"POST /v1/estimate HTTP/1.1\r\nHost: x\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Expect: 100-continue\r\n"
+                b"Content-Length: " + str(len(body)).encode() +
+                b"\r\n\r\n")
+            assert sock.recv(64).startswith(b"HTTP/1.1 100")
+            sock.sendall(body)
+            reply = b""
+            while b"estimate" not in reply:
+                chunk = sock.recv(4096)
+                assert chunk
+                reply += chunk
+            assert reply.startswith(b"HTTP/1.1 200")
